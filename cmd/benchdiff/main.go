@@ -9,13 +9,13 @@
 //	benchdiff -format json a.json b.json   # machine-readable report
 //	benchdiff -validate file.json    # schema-check one file, no diff
 //
-// Only metrics with source "measured" and unit "us" are gated, on their
-// min and p50 fields; quoted paper constants and ratio columns are never
-// gated. Host wall-clock metrics (host/wall_ns) are reported on their
-// best-of-trials field but never gate — they track the engines' host
-// speed (e.g. the trace-JIT tier) across baseline regenerations. Exit
-// status: 0 the gate passes, 1 a regression exceeded the threshold, 2
-// usage error or a file that fails schema validation.
+// Only metrics with source "measured" and a time unit (us, ms or s) are
+// gated, on their min and p50 fields; quoted paper constants and ratio
+// columns are never gated. Host wall-clock metrics (host/wall_ns) are
+// reported on their best-of-trials field but never gate — they track the
+// engines' host speed (e.g. the trace-JIT tier) across baseline
+// regenerations. Exit status: 0 the gate passes, 1 a regression exceeded
+// the threshold, 2 usage error or a file that fails schema validation.
 //
 // With -prof the inputs are PROF JSON cycle profiles (written by
 // `aegisbench -prof` or `exoprof -format json`) and the output is the

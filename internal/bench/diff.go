@@ -129,12 +129,14 @@ func (r *DiffReport) Render() string {
 
 // gated reports whether a metric participates in the regression gate:
 // measured (never a quoted paper constant) and time-valued (simulated
-// microseconds, where lower is better). Ratios and counts are reported
-// in the JSON but not gated — a "slowdown ×" column moving is a symptom;
-// the gated time metric is the cause. Host wall-clock metrics (source
-// "host", unit "ns") are informational only: they vary with the host.
+// microseconds, milliseconds, or seconds, where lower is better; Table 9
+// reports seconds and Ablation C milliseconds). Ratios and counts are
+// reported in the JSON but not gated — a "slowdown ×" column moving is a
+// symptom; the gated time metric is the cause. Host wall-clock metrics
+// (source "host", unit "ns") are informational only: they vary with the
+// host.
 func gated(m MetricJSON) bool {
-	return m.Source == SourceMeasured && m.Unit == "us"
+	return m.Source == SourceMeasured && (m.Unit == "us" || m.Unit == "ms" || m.Unit == "s")
 }
 
 // hostMetric reports whether a metric is an informational host

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -346,5 +347,72 @@ func TestDiffHostDeltas(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "host (not gated)") {
 		t.Errorf("Render lacks the host section:\n%s", r.Render())
+	}
+}
+
+// TestDiffGatesEveryTimeUnit pins the gate's reach over the committed
+// baseline: Table 9 reports seconds and Ablation C milliseconds, and
+// tripling Table 9's measured metrics must fail the gate, not slip
+// past it as a non-microsecond metric.
+func TestDiffGatesEveryTimeUnit(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_aegisbench.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old, slower File
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &slower); err != nil {
+		t.Fatal(err)
+	}
+	units := map[string]bool{}
+	for _, e := range old.Experiments {
+		for _, m := range e.Metrics {
+			if gated(m) {
+				units[m.Unit] = true
+			}
+		}
+	}
+	for _, u := range []string{"us", "ms", "s"} {
+		if !units[u] {
+			t.Errorf("no gated metric in unit %q; the baseline should have one", u)
+		}
+	}
+	scaled := 0
+	for ei, e := range slower.Experiments {
+		if e.ID != "Table 9" {
+			continue
+		}
+		for mi, m := range e.Metrics {
+			if m.Source != SourceMeasured {
+				continue
+			}
+			m.Min *= 3
+			m.Mean *= 3
+			m.P50 *= 3
+			m.P99 *= 3
+			m.Max *= 3
+			for i := range m.Samples {
+				m.Samples[i] *= 3
+			}
+			slower.Experiments[ei].Metrics[mi] = m
+			scaled++
+		}
+	}
+	if scaled == 0 {
+		t.Fatal("baseline has no measured Table 9 metrics")
+	}
+	if r := Diff(&old, &old, 0); !r.OK() {
+		t.Fatalf("baseline self-compare failed:\n%s", r.Render())
+	}
+	r := Diff(&old, &slower, 0.05)
+	if r.OK() {
+		t.Fatalf("tripled Table 9 passed the gate:\n%s", r.Render())
+	}
+	for _, d := range r.Regressions {
+		if d.Experiment != "Table 9" {
+			t.Errorf("unexpected regression outside Table 9: %s", d)
+		}
 	}
 }

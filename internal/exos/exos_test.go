@@ -269,3 +269,13 @@ func boot2t() (*hw.Machine, *aegis.Kernel, *LibOS) {
 	}
 	return m, k, os
 }
+
+// TestBootTouchesFewFrames pins the sparse physical-memory layout from the
+// library OS's side: booting Aegis plus ExOS writes at most a handful of
+// the DEC5000's 8192 frames, so only those cost the host a page.
+func TestBootTouchesFewFrames(t *testing.T) {
+	m, _, _ := boot2(t)
+	if got := m.Phys.Resident(); got > 64 {
+		t.Fatalf("boot left %d of %d frames resident, want at most 64", got, m.Phys.NumPages())
+	}
+}

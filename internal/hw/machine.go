@@ -106,11 +106,12 @@ func NewMachine(cfg Config) *Machine {
 // survive: the clock (simulated time does not rewind because a machine
 // died) and the disk's stable image (power is restored via
 // Disk.PowerOn; the volatile write cache was already resolved by
-// Disk.Crash). Everything else returns to its power-on state — physical
-// memory zeroed in place, fresh TLB/timer/NIC/frame buffer, CPU in
-// kernel mode with interrupts on, no trap handler. A fresh kernel must
-// install itself exactly as at first boot, and any external NIC wiring
-// (ether segment attachment) must be re-established by the harness.
+// Disk.Crash). Everything else returns to its power-on state — every
+// physical frame reading zero again, fresh TLB/timer/NIC/frame buffer,
+// CPU in kernel mode with interrupts on, no trap handler. A fresh kernel
+// must install itself exactly as at first boot, and any external NIC
+// wiring (ether segment attachment) must be re-established by the
+// harness.
 func (m *Machine) Reboot() {
 	m.Phys.Reset()
 	m.TLB = NewTLB(m.Clock, m.Config.TLBSize)

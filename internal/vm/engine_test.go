@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -292,4 +293,131 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Errorf("seed %d: engines diverged", seed)
 		}
 	})
+}
+
+// stalePageRun runs a hot loop that loads from and stores to one page
+// while the "kernel" (the trap handler, entered by syscall every 16
+// iterations) first frees the page's frame, reallocates it, and writes a
+// new value, then reboots the machine and rewrites the same mapping and a
+// third value. The TLB mapping is identical each time, so only the
+// physical-memory generation tells a compiled trace that its cached page
+// pointer is stale.
+func stalePageRun(t *testing.T, nojit, slow bool) engineResult {
+	t.Helper()
+	const vpn, pfn = 8, 3
+	m := hw.NewMachine(hw.DEC5000)
+	m.SetNoJIT(nojit)
+	m.SetSlowPath(slow)
+	mapPage := func() {
+		m.CPU.ASID = 1
+		m.TLB.WriteRandom(hw.TLBEntry{VPN: vpn, ASID: 1, PFN: pfn, Perms: hw.PermValid | hw.PermWrite})
+	}
+	code := asm.MustAssemble(`
+	loop:
+		lw    t1, 0(t0)
+		addu  t2, t2, t1
+		sw    t2, 8(t0)
+		addiu t3, t3, 1
+		andi  t4, t3, 15
+		bne   t4, zero, loop
+		syscall
+		j     loop
+	`)
+	in := New(m, FixedCode(code))
+	in.JITThreshold = 1
+	h := &trapLog{}
+	syscalls := 0
+	h.fix = func(m *hw.Machine) {
+		if m.CPU.Cause != hw.ExcSyscall {
+			t.Fatalf("unexpected trap %v at pc %d", m.CPU.Cause, m.CPU.EPC)
+		}
+		syscalls++
+		switch syscalls {
+		case 1:
+			if err := m.Phys.FreeFrame(pfn); err != nil {
+				t.Fatal(err)
+			}
+			if f, ok := m.Phys.AllocFrame(); !ok || f != pfn {
+				t.Fatalf("AllocFrame = %d, %v; want the freed frame %d", f, ok, pfn)
+			}
+			m.Phys.WriteWord(pfn<<hw.PageShift, 1000)
+		case 2:
+			regs, epc := m.CPU.Regs, m.CPU.EPC
+			m.Reboot()
+			m.SetTrapHandler(h)
+			if !m.Phys.AllocFrameAt(pfn) {
+				t.Fatal("AllocFrameAt after reboot failed")
+			}
+			mapPage()
+			m.Phys.WriteWord(pfn<<hw.PageShift, 2000)
+			m.CPU.Regs, m.CPU.EPC = regs, epc
+		default:
+			in.RequestStop()
+		}
+		m.CPU.PC = m.CPU.EPC + 1
+		m.CPU.Mode = hw.ModeUser
+	}
+	m.SetTrapHandler(h)
+	if f, ok := m.Phys.AllocFrame(); !ok || f != 0 {
+		t.Fatalf("first AllocFrame = %d, %v", f, ok)
+	}
+	if !m.Phys.AllocFrameAt(pfn) {
+		t.Fatal("AllocFrameAt failed")
+	}
+	mapPage()
+	m.Phys.WriteWord(pfn<<hw.PageShift, 7)
+	m.CPU.Mode = hw.ModeUser
+	m.CPU.SetReg(hw.RegT0, vpn<<hw.PageShift)
+	if r := in.Run(10000); r != StopRequested {
+		t.Fatalf("Run = %v, want requested", r)
+	}
+	if !nojit && !slow && !jitCompiledAny(in) {
+		t.Fatal("the JIT compiled nothing; the test exercises no trace")
+	}
+	return engineResult{
+		steps:  in.Steps,
+		cycles: m.Clock.Cycles(),
+		regs:   m.CPU.Regs,
+		pc:     m.CPU.PC,
+		pages:  [3][]byte{append([]byte(nil), m.Phys.Page(pfn)...)},
+	}
+}
+
+// jitCompiledAny reports whether the current segment has a compiled block.
+func jitCompiledAny(in *Interp) bool {
+	for _, b := range in.jitSeg.blocks {
+		if b != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestJITSeesFreedAndRebootedFrames: a compiled trace must observe a
+// frame freed and rewritten under an unchanged TLB mapping, and a machine
+// reboot, exactly as the interpreters do — same registers, memory,
+// clock, and step count on the JIT, the fast interpreter, and the
+// reference engine.
+func TestJITSeesFreedAndRebootedFrames(t *testing.T) {
+	jit := stalePageRun(t, false, false)
+	// 16 iterations each of 7, 1000, then 2000 summed into t2 and stored.
+	const want = 16*7 + 16*1000 + 16*2000
+	if got := jit.regs[hw.RegT2]; got != want {
+		t.Fatalf("t2 = %d, want %d: a trace read a dropped page", got, want)
+	}
+	if got := binary.LittleEndian.Uint32(jit.pages[0][8:]); got != want {
+		t.Fatalf("stored word = %d, want %d: a trace wrote a dropped page", got, want)
+	}
+	for _, v := range []struct {
+		name        string
+		nojit, slow bool
+	}{{"nojit", true, false}, {"slowpath", false, true}} {
+		got := stalePageRun(t, v.nojit, v.slow)
+		if got.regs != jit.regs || got.steps != jit.steps || got.cycles != jit.cycles ||
+			got.pc != jit.pc || !bytes.Equal(got.pages[0], jit.pages[0]) {
+			t.Errorf("%s: {steps %d cycles %d pc %d t2 %d} differs from jit {steps %d cycles %d pc %d t2 %d}",
+				v.name, got.steps, got.cycles, got.pc, got.regs[hw.RegT2],
+				jit.steps, jit.cycles, jit.pc, jit.regs[hw.RegT2])
+		}
+	}
 }

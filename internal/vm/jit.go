@@ -50,11 +50,12 @@
 // Invalidation: compiled blocks are a pure function of the instruction
 // slice, cached per code segment and dropped when SetCode publishes a
 // different segment. Translations are NOT compiled in — each memory
-// micro-op keeps a one-entry cache of its last TLB.Lookup result keyed by
-// the TLB epoch, with the permission checks re-run on every reference
-// (the inlined equivalent of hw.Machine.EntryTranslate), so a TLB
-// mutation anywhere invalidates every site on its next access and a mode
-// or ASID change needs no invalidation at all.
+// micro-op keeps a one-entry cache of its last TLB.Lookup result and of
+// that frame's page, keyed by the TLB epoch and the PhysMem generation,
+// with the permission checks re-run on every reference (the inlined
+// equivalent of hw.Machine.EntryTranslate), so a TLB mutation, a freed
+// frame, or a reboot anywhere invalidates every site on its next access
+// and a mode or ASID change needs no invalidation at all.
 //
 // Escape hatch: EXO_NOJIT=1 (or hw.Machine.SetNoJIT) forces the plain
 // fast interpreter; EXO_SLOWPATH=1 forces the reference engine and
@@ -62,6 +63,8 @@
 package vm
 
 import (
+	"encoding/binary"
+
 	"exokernel/internal/hw"
 	"exokernel/internal/isa"
 )
@@ -196,30 +199,40 @@ type segJIT struct {
 }
 
 // jitSite is a compiled memory micro-op's one-entry translation cache:
-// the last TLB.Lookup result, valid only while the TLB epoch it was
-// filled under still matches. Permission checks are never cached — see
-// the memory micro-ops in the runners, which re-run the EntryTranslate
-// checks on every reference.
+// the last TLB.Lookup result and its frame's page, valid only while the
+// TLB epoch and the PhysMem generation it was filled under both still
+// match. The zero site never hits, because a PhysMem's generation starts
+// above zero. Permission checks are never cached — see the memory
+// micro-ops in the runners, which re-run the EntryTranslate checks on
+// every reference — and neither is the memory model's charge: every
+// reference calls PhysMem.ChargeRef before it touches the page. Word and
+// halfword micro-ops index the page with va&(PageSize-4) and
+// va&(PageSize-2): after their alignment checks that is the page offset,
+// and it lets the compiler prove the access in bounds.
 type jitSite struct {
-	valid bool
 	asid  uint8
 	vpn   uint32
 	epoch uint64
+	gen   uint64
 	entry hw.TLBEntry
+	page  *[hw.PageSize]byte
 }
 
 // refill is the site cache's out-of-line miss path: look the page up in
-// the hardware TLB (charges nothing, same as hw.Machine.Translate) and
-// re-tag the site under the current epoch. The hit check and the
-// per-reference permission checks stay inlined in the runners, which
-// reproduce hw.Machine.EntryTranslate with the ASID, epoch, and mode
-// hoisted out of the loop.
-func (s *jitSite) refill(tlb *hw.TLB, vpn uint32, asid uint8, epoch uint64) bool {
+// the hardware TLB (charges nothing, same as hw.Machine.Translate), take
+// its frame's page from PhysMem.Frame (which gives an untouched frame a
+// page of its own, so the pointer serves loads and stores alike), and
+// re-tag the site under the current epoch and generation. The hit check
+// and the per-reference permission checks stay inlined in the runners,
+// which reproduce hw.Machine.EntryTranslate with the ASID, epoch,
+// generation, and mode hoisted out of the loop.
+func (s *jitSite) refill(tlb *hw.TLB, phys *hw.PhysMem, vpn uint32, asid uint8, epoch, gen uint64) bool {
 	e, ok := tlb.Lookup(vpn, asid)
 	if !ok {
 		return false
 	}
-	s.entry, s.vpn, s.asid, s.epoch, s.valid = e, vpn, asid, epoch, true
+	s.entry, s.vpn, s.asid, s.epoch, s.gen = e, vpn, asid, epoch, gen
+	s.page = phys.Frame(e.PFN)
 	return true
 }
 
@@ -299,12 +312,14 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 	tlb := m.TLB
 	start := in.Steps
 	ops := b.ops
-	// ASID, TLB epoch, and CPU mode are loop invariants: only a trap
-	// handler (or RFE/TLBWR, which the compiler never traces) can change
-	// them, and any trap exits the runner. Hoisting them lets the memory
-	// micro-ops run the MMU checks against host registers.
+	// ASID, TLB epoch, PhysMem generation, and CPU mode are loop
+	// invariants: only a trap handler (or RFE/TLBWR, which the compiler
+	// never traces) can change them, and any trap exits the runner.
+	// Hoisting them lets the memory micro-ops run the MMU checks against
+	// host registers.
 	asid := cpu.ASID
 	epoch := tlb.Epoch()
+	gen := phys.Gen()
 	kernelMode := cpu.Mode == hw.ModeKernel
 	// pending counts committed instructions whose base-cost tick, step
 	// count, and PC advance have not been materialized yet. It drains
@@ -469,8 +484,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
@@ -480,8 +495,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := phys.ReadWord(pa)
+					phys.ChargeRef()
+					v := binary.LittleEndian.Uint32(s.page[va&(hw.PageSize-4):])
 					if op.rd != 0 {
 						regs[op.rd&31] = v
 					}
@@ -494,8 +509,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
@@ -505,8 +520,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.ReadHalf(pa))
+					phys.ChargeRef()
+					v := uint32(binary.LittleEndian.Uint16(s.page[va&(hw.PageSize-2):]))
 					if op.kind == jkLH {
 						v = uint32(int32(int16(v)))
 					}
@@ -517,8 +532,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					va := regs[op.rs&31] + op.imm
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
@@ -528,8 +543,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.LoadByte(pa))
+					phys.ChargeRef()
+					v := uint32(s.page[va&(hw.PageSize-1)])
 					if op.kind == jkLB {
 						v = uint32(int32(int8(v)))
 					}
@@ -546,8 +561,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						return in.Steps - start
@@ -562,8 +577,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMod, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteWord(pa, regs[op.rt&31])
+					phys.ChargeRef()
+					binary.LittleEndian.PutUint32(s.page[va&(hw.PageSize-4):], regs[op.rt&31])
 				case jkSH:
 					va := regs[op.rs&31] + op.imm
 					if va&1 != 0 {
@@ -573,8 +588,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						return in.Steps - start
@@ -589,14 +604,14 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMod, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteHalf(pa, uint16(regs[op.rt&31]))
+					phys.ChargeRef()
+					binary.LittleEndian.PutUint16(s.page[va&(hw.PageSize-2):], uint16(regs[op.rt&31]))
 				case jkSB:
 					va := regs[op.rs&31] + op.imm
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						in.jitFlush(pending+uint64(i+1), op.pc)
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						return in.Steps - start
@@ -611,8 +626,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						m.RaiseException(hw.ExcTLBMod, op.pc, va)
 						return in.Steps - start
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.StoreByte(pa, byte(regs[op.rt&31]))
+					phys.ChargeRef()
+					s.page[va&(hw.PageSize-1)] = byte(regs[op.rt&31])
 
 				case jkBEQ:
 					if regs[op.rs&31] == regs[op.rt&31] {
@@ -744,6 +759,7 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 	ops := b.ops
 	asid := cpu.ASID
 	epoch := tlb.Epoch()
+	gen := phys.Gen()
 	kernelMode := cpu.Mode == hw.ModeKernel
 	for {
 		done := in.Steps - start
@@ -913,8 +929,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						out = jitExit
 						break
@@ -924,8 +940,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := phys.ReadWord(pa)
+					phys.ChargeRef()
+					v := binary.LittleEndian.Uint32(s.page[va&(hw.PageSize-4):])
 					if op.rd != 0 {
 						regs[op.rd&31] = v
 					}
@@ -939,8 +955,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						out = jitExit
 						break
@@ -950,8 +966,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.ReadHalf(pa))
+					phys.ChargeRef()
+					v := uint32(binary.LittleEndian.Uint16(s.page[va&(hw.PageSize-2):]))
 					if op.kind == jkLH {
 						v = uint32(int32(int16(v)))
 					}
@@ -963,8 +979,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 					va := regs[op.rs&31] + op.imm
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
 						out = jitExit
 						break
@@ -974,8 +990,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.LoadByte(pa))
+					phys.ChargeRef()
+					v := uint32(s.page[va&(hw.PageSize-1)])
 					if op.kind == jkLB {
 						v = uint32(int32(int8(v)))
 					}
@@ -993,8 +1009,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						out = jitExit
 						break
@@ -1009,8 +1025,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteWord(pa, regs[op.rt&31])
+					phys.ChargeRef()
+					binary.LittleEndian.PutUint32(s.page[va&(hw.PageSize-4):], regs[op.rt&31])
 					cpu.PC = op.next
 				case jkSH:
 					va := regs[op.rs&31] + op.imm
@@ -1021,8 +1037,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						out = jitExit
 						break
@@ -1037,15 +1053,15 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteHalf(pa, uint16(regs[op.rt&31]))
+					phys.ChargeRef()
+					binary.LittleEndian.PutUint16(s.page[va&(hw.PageSize-2):], uint16(regs[op.rt&31]))
 					cpu.PC = op.next
 				case jkSB:
 					va := regs[op.rs&31] + op.imm
 					s := op.site
 					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
+					if (s.gen != gen || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
+						!s.refill(tlb, phys, vpn, asid, epoch, gen) {
 						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
 						out = jitExit
 						break
@@ -1060,8 +1076,8 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 						out = jitExit
 						break
 					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.StoreByte(pa, byte(regs[op.rt&31]))
+					phys.ChargeRef()
+					s.page[va&(hw.PageSize-1)] = byte(regs[op.rt&31])
 					cpu.PC = op.next
 
 				case jkBEQ:

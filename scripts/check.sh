@@ -22,6 +22,11 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== perfbench tests (cross-tier digests, result-line schema)"
+# perfbench is its own module (replace exokernel => ../), so the root
+# \`go test ./...\` above skips it. Same module settings as perfbench/run.sh.
+(cd perfbench && GOWORK=off GOFLAGS= go test .)
+
 echo "== bench smoke (BENCH JSON + benchdiff self-compare)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
