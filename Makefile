@@ -90,7 +90,7 @@ soakbaseline:
 # SOAKDIFF_THRESHOLD (default 30%; CI uses a huge value to keep
 # shared-runner wall-clock noise out of the gate — witnesses are
 # never relaxed). See cmd/soakdiff.
-SOAKDIFF_THRESHOLD ?= 0.3
+SOAKDIFF_THRESHOLD ?= 30
 soakdiff:
 	$(GO) run ./cmd/soak -seed 1 -rounds 4 -events 2500 -q -o /tmp/soak_new.json
 	$(GO) run ./cmd/soakdiff -threshold $(SOAKDIFF_THRESHOLD) SOAK_baseline.json /tmp/soak_new.json

@@ -12,13 +12,14 @@ import (
 )
 
 // frameBinding records the secure binding on one physical frame: who
-// allocated it and the self-authenticating capability that guards it.
-// Access checks happen at *bind* time (installing a TLB mapping), never on
-// individual memory references — that is the essence of a secure binding.
+// allocated it. The capability that guards the frame is self-authenticating,
+// so the kernel keeps no copy: it validates whatever the library OS presents
+// against its own key. Access checks happen at *bind* time (installing a
+// TLB mapping), never on individual memory references — that is the
+// essence of a secure binding. Eight bytes per frame.
 type frameBinding struct {
 	owner EnvID
 	bound bool
-	guard cap.Capability
 }
 
 // Kernel is the Aegis exokernel for one machine.
@@ -79,6 +80,8 @@ type Kernel struct {
 	// runStart is the cycle at which the current environment's
 	// attribution span began (see settleCycles).
 	runStart uint64
+	// ash runs downloaded handlers (net.go).
+	ash *ashRunner
 }
 
 // SetSpans attaches (or detaches, nil) the span recorder.
@@ -142,6 +145,7 @@ func New(m *hw.Machine) *Kernel {
 	}
 	k.Stats.MetricsOn = true
 	k.Interp = vm.New(m, k)
+	k.ash = newASHRunner(k)
 	m.SetTrapHandler(k)
 	m.NIC.OnDrop = func() {
 		k.Stats.RxOverflow++
@@ -168,7 +172,7 @@ func (k *Kernel) NewEnv(code isa.Code) (*Env, error) {
 		Code:     code,
 		SaveArea: frame << hw.PageShift,
 	}
-	k.frames[frame] = frameBinding{owner: id, bound: true, guard: k.Auth.Mint(uint64(frame), cap.Read|cap.Write)}
+	k.frames[frame] = frameBinding{owner: id, bound: true}
 	k.envs = append(k.envs, e)
 	k.slices = append(k.slices, id)
 	k.Stats.acct(id).Frames++ // the save area is a held frame

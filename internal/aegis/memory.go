@@ -33,7 +33,7 @@ func (k *Kernel) AllocPage(e *Env, frame uint32) (uint32, cap.Capability, error)
 		f = frame
 	}
 	guard := k.Auth.Mint(uint64(f), cap.Read|cap.Write|cap.Grant)
-	k.frames[f] = frameBinding{owner: e.ID, bound: true, guard: guard}
+	k.frames[f] = frameBinding{owner: e.ID, bound: true}
 	k.Stats.acct(e.ID).Frames++
 	k.trace(ktrace.KindFrameBind, e.ID, uint64(f), 0, 0)
 	return f, guard, nil
@@ -74,7 +74,7 @@ func (k *Kernel) FrameOwner(frame uint32) EnvID {
 
 // InstallMapping installs a virtual→physical translation for the current
 // address space. This is the access-time half of the secure binding: the
-// presented capability is validated against the frame's guard; on success
+// presented capability is validated against the kernel's key; on success
 // the mapping enters the hardware TLB and the software TLB. Perms is a
 // subset of hw.PermWrite.
 func (k *Kernel) InstallMapping(e *Env, va uint32, frame uint32, perms uint8, c cap.Capability) error {

@@ -201,7 +201,18 @@ func (k *Kernel) deliverTo(ep *Endpoint, frame []byte) {
 // the caller's registers are preserved around the run (the handler has its
 // own register context), memory instructions are sandboxed, and execution
 // is bounded by the verifier's budget — belt and suspenders.
+//
+// Every handler runs on the kernel's one ASH interpreter and context (see
+// ashRunner), reloaded for each message. Handlers run with interrupts
+// off, so a dispatch cannot begin while another is in flight; the runner
+// panics if one ever does rather than clobber the active handler.
 func (k *Kernel) runASH(ep *Endpoint, frame []byte) {
+	r := k.ash
+	if r.active {
+		panic("aegis: ASH dispatch while another handler is running")
+	}
+	r.active = true
+	defer func() { r.active = false }()
 	start := k.opStart()
 	defer k.recordOp(OpASHRun, ep.Owner, start)
 	k.Stats.ASHRuns++
@@ -211,36 +222,55 @@ func (k *Kernel) runASH(ep *Endpoint, frame []byte) {
 	// are stamped with the ASH span's context, so the echo's receiver
 	// parents under the handler — the causal chain survives a request
 	// that never leaves interrupt level.
-	ash := k.Spans.Begin(start, ktrace.SpanASH, uint32(ep.Owner), k.wireCtx(frame), uint64(len(frame)))
-	defer func() { k.Spans.End(ash, k.M.Clock.Cycles()) }()
+	r.span = k.Spans.Begin(start, ktrace.SpanASH, uint32(ep.Owner), k.wireCtx(frame), uint64(len(frame)))
+	defer func() { k.Spans.End(r.span, k.M.Clock.Cycles()) }()
 	cpu := &k.M.CPU
 	savedRegs := cpu.Regs
 	savedPC := cpu.PC
 	savedMode := cpu.Mode
 	k.charge(8) // handler entry: set up the message context
 
-	ashInterp := vm.New(k.M, vm.FixedCode(ep.ASH.Code))
-	ashInterp.ASH = &vm.ASHContext{
-		Packet:      frame,
-		SandboxBase: ep.ASH.Sandbox,
-		SandboxMask: ep.ASH.SandMask,
-		Phys:        k.M.Phys,
-		Xmit: func(data []byte) {
-			if k.TraceStamp != nil && ash.Ctx().Valid() {
-				k.TraceStamp(data, ash.Ctx())
-			}
-			k.M.NIC.Send(hw.Packet{Data: data})
-		},
-	}
+	r.code = vm.FixedCode(ep.ASH.Code)
+	r.interp.SetCode(ep.ASH.Code)
+	r.ctx.Packet = frame
+	r.ctx.SandboxBase = ep.ASH.Sandbox
+	r.ctx.SandboxMask = ep.ASH.SandMask
+	r.ctx.Sent = 0
 	savedIntr := cpu.IntrOn
 	cpu.Regs = [hw.NumRegs]uint32{}
 	cpu.PC = 0
 	cpu.Mode = hw.ModeKernel
 	cpu.IntrOn = false // handlers run at interrupt level
-	ashInterp.Run(uint64(ep.ASH.Budget))
+	r.interp.Run(uint64(ep.ASH.Budget))
+	r.ctx.Packet = nil // the frame is the caller's; hold no reference
 
 	cpu.Regs = savedRegs
 	cpu.PC = savedPC
 	cpu.Mode = savedMode
 	cpu.IntrOn = savedIntr
+}
+
+// ashRunner is the kernel's ASH execution state: one interpreter bound to
+// one message context, reloaded with each handler's code, sandbox and
+// message.
+type ashRunner struct {
+	interp *vm.Interp
+	ctx    vm.ASHContext
+	code   vm.FixedCode // the interpreter's CodeSource: the running handler
+	span   ktrace.SpanRef
+	active bool
+}
+
+func newASHRunner(k *Kernel) *ashRunner {
+	r := &ashRunner{}
+	r.interp = vm.New(k.M, &r.code)
+	r.interp.ASH = &r.ctx
+	r.ctx.Phys = k.M.Phys
+	r.ctx.Xmit = func(data []byte) {
+		if k.TraceStamp != nil && r.span.Ctx().Valid() {
+			k.TraceStamp(data, r.span.Ctx())
+		}
+		k.M.NIC.Send(hw.Packet{Data: data})
+	}
+	return r
 }

@@ -1,6 +1,9 @@
 package aegis
 
 import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"exokernel/internal/asm"
@@ -262,4 +265,139 @@ func TestOutcomeStrings(t *testing.T) {
 			t.Errorf("outcome %d unnamed", o)
 		}
 	}
+}
+
+// ashWorld boots a kernel with one running environment that owns two
+// endpoints, each with its own verified handler and sandbox page:
+// handler A echoes the message's first word; handler B keeps a running
+// sum of bytes 1 and 2 in its sandbox and transmits it.
+func ashWorld(t *testing.T, tier func(*hw.Machine)) (*hw.Machine, *Kernel, [2]uint32, *[]hw.Packet) {
+	t.Helper()
+	m := hw.NewMachine(hw.DEC5000)
+	tier(m)
+	k := New(m)
+	e, err := k.NewEnv(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := [2]string{`
+		pktlw t0, 0(zero)
+		sw    t0, 0(zero)
+		addiu t1, zero, 4
+		xmit  zero, t1
+		halt
+	`, `
+		pktlb t0, 1(zero)
+		pktlb t1, 2(zero)
+		addu  t2, t0, t1
+		lw    t3, 8(zero)
+		addu  t3, t3, t2
+		sw    t3, 8(zero)
+		sw    t3, 0(zero)
+		addiu t4, zero, 4
+		xmit  zero, t4
+		halt
+	`}
+	var sandboxes [2]uint32
+	for i, src := range handlers {
+		ep, err := k.InstallFilter(e, byteFilter(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, guard, err := k.AllocPage(e, AnyFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.InstallASH(ep, asm.MustAssemble(src), frame, guard); err != nil {
+			t.Fatal(err)
+		}
+		sandboxes[i] = frame
+	}
+	sent := new([]hw.Packet)
+	m.NIC.ConnectTx(func(p hw.Packet) { *sent = append(*sent, p) })
+	return m, k, sandboxes, sent
+}
+
+// The kernel runs every handler on one reused interpreter and message
+// context. Alternating two handlers must give each its own code, sandbox
+// and message on every dispatch, restore the interrupted environment's
+// processor state each time, and produce the same replies, memory, clock
+// and counters in every execution engine.
+func TestASHReuseAlternatingHandlers(t *testing.T) {
+	type outcome struct {
+		replies   [][]byte
+		sandboxes [2][]byte
+		cycles    uint64
+		stats     Stats
+		acct      EnvAccount
+	}
+	run := func(t *testing.T, tier func(*hw.Machine)) outcome {
+		m, k, sandboxes, sent := ashWorld(t, tier)
+		cpu := &m.CPU
+		for i := range cpu.Regs {
+			cpu.SetReg(uint8(i), 0x1000+uint32(i))
+		}
+		cpu.PC, cpu.Mode, cpu.IntrOn = 5, hw.ModeUser, true
+		regs := cpu.Regs
+		for i := 0; i < 12; i++ {
+			k.deliver([]byte{byte(i%2 + 1), byte(3 * i), byte(i + 40), byte(i)})
+			if cpu.Regs != regs || cpu.PC != 5 || cpu.Mode != hw.ModeUser || !cpu.IntrOn {
+				t.Fatalf("dispatch %d left regs=%v pc=%d mode=%v intr=%v", i, cpu.Regs, cpu.PC, cpu.Mode, cpu.IntrOn)
+			}
+		}
+		if len(*sent) != 12 {
+			t.Fatalf("handlers sent %d replies, want 12", len(*sent))
+		}
+		if k.Stats.ASHRuns != 12 {
+			t.Fatalf("ASHRuns = %d, want 12", k.Stats.ASHRuns)
+		}
+		var o outcome
+		for _, p := range *sent {
+			o.replies = append(o.replies, p.Data)
+		}
+		for i, f := range sandboxes {
+			o.sandboxes[i] = append([]byte(nil), m.Phys.Page(f)...)
+		}
+		o.cycles = m.Clock.Cycles()
+		o.stats = k.GlobalStats()
+		o.acct = k.Account(1)
+		return o
+	}
+	want := run(t, func(*hw.Machine) {})
+	// Handler A echoes message 10's first word; handler B's running sum
+	// after messages 1, 3, ..., 11 is Σ(3i + i + 40) over those i.
+	if got := want.replies[10]; !bytes.Equal(got, []byte{1, 30, 50, 10}) {
+		t.Errorf("handler A reply = %v", got)
+	}
+	if got := binary.LittleEndian.Uint32(want.sandboxes[1][8:]); got != 4*36+6*40 {
+		t.Errorf("handler B sum = %d, want %d", got, 4*36+6*40)
+	}
+	for _, tier := range []struct {
+		name string
+		set  func(*hw.Machine)
+	}{
+		{"nojit", func(m *hw.Machine) { m.SetNoJIT(true) }},
+		{"slowpath", func(m *hw.Machine) { m.SetSlowPath(true) }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			if got := run(t, tier.set); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s engine differs from the default:\n got %+v\nwant %+v", tier.name, got, want)
+			}
+		})
+	}
+}
+
+// Handlers run with interrupts off, so one dispatch never begins inside
+// another. The shared runner enforces that rather than trusting it: a
+// handler whose transmit re-enters the kernel's delivery path panics
+// instead of clobbering the running handler's context.
+func TestASHNestedDispatchPanics(t *testing.T) {
+	m, k, _, _ := ashWorld(t, func(*hw.Machine) {})
+	m.NIC.ConnectTx(func(p hw.Packet) { k.deliver([]byte{2, 0, 0, 0}) })
+	defer func() {
+		if recover() == nil {
+			t.Error("nested ASH dispatch did not panic")
+		}
+	}()
+	k.deliver([]byte{1, 0, 0, 0})
 }

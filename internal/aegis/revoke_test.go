@@ -1,6 +1,7 @@
 package aegis
 
 import (
+	"strings"
 	"testing"
 
 	"exokernel/internal/hw"
@@ -181,6 +182,44 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Error("dead env in slice vector not detected")
 		}
 	})
+	// A binding whose owner names no environment must be flagged even
+	// when every account still balances: each forgery below moves one
+	// resource to an unknown owner and takes it off its real owner's
+	// books, so only the owner check can catch it.
+	const ghost = EnvID(99)
+	for _, tc := range []struct {
+		name  string
+		forge func(t *testing.T, k *Kernel, e *Env, frame uint32)
+	}{
+		{"unknown-frame-owner", func(_ *testing.T, k *Kernel, e *Env, frame uint32) {
+			k.frames[frame].owner = ghost
+			k.Stats.acct(e.ID).Frames--
+		}},
+		{"unknown-extent-owner", func(t *testing.T, k *Kernel, e *Env, _ uint32) {
+			if _, _, err := k.AllocExtent(e, 4); err != nil {
+				t.Fatal(err)
+			}
+			k.extents[len(k.extents)-1].owner = ghost
+			k.Stats.acct(e.ID).Extents--
+		}},
+		{"unknown-endpoint-owner", func(t *testing.T, k *Kernel, e *Env, _ uint32) {
+			ep, err := k.InstallFilter(e, byteFilter(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.Owner = ghost
+			k.Stats.acct(e.ID).Endpoints--
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, e, frame := revokeWorld(t)
+			tc.forge(t, k, e, frame)
+			err := k.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), "no environment") {
+				t.Errorf("owner naming no environment not detected: %v", err)
+			}
+		})
+	}
 	t.Run("clean", func(t *testing.T) {
 		k, _, _ := revokeWorld(t)
 		if err := k.CheckInvariants(); err != nil {

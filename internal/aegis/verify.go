@@ -19,7 +19,9 @@ import (
 //
 //  1. Frame conservation: every physical frame is either on the free
 //     list or carries exactly one secure binding — no leaked, no
-//     double-booked frames.
+//     double-booked frames. Every frame binding, extent and endpoint
+//     names a live or dead environment the kernel created, never an
+//     unknown one.
 //  2. Registry accuracy: each environment's account (frames, extents,
 //     endpoints held) equals what the binding tables actually record,
 //     and a dead-and-reclaimed environment holds nothing.
@@ -30,16 +32,36 @@ import (
 //  4. Schedule sanity: the time-slice vector names only live
 //     environments.
 func (k *Kernel) CheckInvariants() error {
-	// 1. Frame conservation against the physical free list.
+	// One sweep over each binding table counts what every environment
+	// holds; an owner that names no environment is itself a violation.
+	type held struct{ frames, extents, endpoints uint64 }
+	count := make([]held, len(k.envs)) // index = EnvID-1
+	known := func(id EnvID) bool { return id != 0 && int(id) <= len(k.envs) }
 	bound := 0
-	for f := range k.frames {
-		if k.frames[f].bound {
-			bound++
-			if k.frames[f].owner == 0 {
-				return fmt.Errorf("invariant: frame %d bound with no owner", f)
-			}
+	for f, b := range k.frames {
+		if !b.bound {
+			continue
 		}
+		if !known(b.owner) {
+			return fmt.Errorf("invariant: frame %d bound to no environment (owner %d)", f, b.owner)
+		}
+		bound++
+		count[b.owner-1].frames++
 	}
+	for _, x := range k.extents {
+		if !known(x.owner) {
+			return fmt.Errorf("invariant: extent at block %d owned by no environment (owner %d)", x.start, x.owner)
+		}
+		count[x.owner-1].extents++
+	}
+	for _, ep := range k.endpoints {
+		if !known(ep.Owner) {
+			return fmt.Errorf("invariant: endpoint owned by no environment (owner %d)", ep.Owner)
+		}
+		count[ep.Owner-1].endpoints++
+	}
+
+	// 1. Frame conservation against the physical free list.
 	allocated := k.M.Phys.NumPages() - k.M.Phys.FreeFrames()
 	if bound != allocated {
 		return fmt.Errorf("invariant: %d frames bound but %d allocated (leak or double-book)",
@@ -47,33 +69,20 @@ func (k *Kernel) CheckInvariants() error {
 	}
 
 	// 2. Per-environment accounts vs the binding tables.
-	frameCount := make(map[EnvID]uint64)
-	for f := range k.frames {
-		if k.frames[f].bound {
-			frameCount[k.frames[f].owner]++
-		}
-	}
-	extentCount := make(map[EnvID]uint64)
-	for _, x := range k.extents {
-		extentCount[x.owner]++
-	}
-	endpointCount := make(map[EnvID]uint64)
-	for _, ep := range k.endpoints {
-		endpointCount[ep.Owner]++
-	}
-	for _, e := range k.envs {
-		a := k.Stats.EnvAccount(e.ID)
-		if a.Frames != frameCount[e.ID] {
+	for i, c := range count {
+		id := EnvID(i + 1)
+		a := k.Stats.EnvAccount(id)
+		if a.Frames != c.frames {
 			return fmt.Errorf("invariant: env %d account says %d frames, binding table says %d",
-				e.ID, a.Frames, frameCount[e.ID])
+				id, a.Frames, c.frames)
 		}
-		if a.Extents != extentCount[e.ID] {
+		if a.Extents != c.extents {
 			return fmt.Errorf("invariant: env %d account says %d extents, extent table says %d",
-				e.ID, a.Extents, extentCount[e.ID])
+				id, a.Extents, c.extents)
 		}
-		if a.Endpoints != endpointCount[e.ID] {
+		if a.Endpoints != c.endpoints {
 			return fmt.Errorf("invariant: env %d account says %d endpoints, endpoint list says %d",
-				e.ID, a.Endpoints, endpointCount[e.ID])
+				id, a.Endpoints, c.endpoints)
 		}
 	}
 

@@ -15,6 +15,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 )
 
 // Rights is a bitmask of access rights carried by a capability.
@@ -37,28 +38,38 @@ type Capability struct {
 
 // Authority mints and validates capabilities. The kernel owns one; its key
 // never leaves it.
+//
+// The authority keeps one keyed HMAC-SHA256 whose inner and outer key-pad
+// states are computed once, when the key is set (FIPS 198-1 §6 allows the
+// precomputation; crypto/hmac does it on Reset). Signing restores those
+// states and writes into fixed buffers, so a Mint or Check costs two
+// SHA-256 compressions and allocates nothing. The MACs are those of a
+// fresh hmac.New per signature, byte for byte.
+//
+// An Authority is not safe for concurrent use: signing mutates the shared
+// HMAC state. Each kernel owns its own and calls it from one goroutine.
 type Authority struct {
-	key [32]byte
+	mac hash.Hash
+	msg [9]byte           // resource (little-endian) || rights
+	sum [sha256.Size]byte // the full HMAC; a capability keeps the first 16 bytes
 }
 
 // NewAuthority creates an authority from seed material. A zero seed is
 // valid (deterministic tests); real kernels pass entropy.
 func NewAuthority(seed []byte) *Authority {
-	a := &Authority{}
-	sum := sha256.Sum256(append([]byte("exokernel-cap-v1"), seed...))
-	a.key = sum
+	key := sha256.Sum256(append([]byte("exokernel-cap-v1"), seed...))
+	a := &Authority{mac: hmac.New(sha256.New, key[:])}
+	a.mac.Reset() // precompute the key-pad states
 	return a
 }
 
 func (a *Authority) sign(resource uint64, rights Rights) [16]byte {
-	mac := hmac.New(sha256.New, a.key[:])
-	var buf [9]byte
-	binary.LittleEndian.PutUint64(buf[:8], resource)
-	buf[8] = byte(rights)
-	mac.Write(buf[:])
-	var out [16]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+	binary.LittleEndian.PutUint64(a.msg[:8], resource)
+	a.msg[8] = byte(rights)
+	a.mac.Reset()
+	a.mac.Write(a.msg[:])
+	a.mac.Sum(a.sum[:0])
+	return [16]byte(a.sum[:16])
 }
 
 // Mint creates a capability for a resource with the given rights.

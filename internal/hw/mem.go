@@ -19,8 +19,13 @@ var zeroPage [PageSize]byte
 // frame is first written, so a machine costs the host only the frames its
 // software touches. Simulated costs do not depend on residency.
 type PhysMem struct {
-	clock    *Clock
-	frames   []*[PageSize]byte
+	clock  *Clock
+	frames []*[PageSize]byte
+	// touched lists, once each, the frames that got a page of their own
+	// since the last Reset (listed marks them), so Reset drops exactly
+	// those. A frame freed and re-touched stays listed once.
+	touched  []uint32
+	listed   []uint64 // bitset over frames
 	gen      uint64   // bumped whenever a frame's page is dropped; see Gen
 	free     []uint32 // free frame numbers, LIFO
 	missRate int
@@ -32,25 +37,33 @@ func NewPhysMem(clock *Clock, npages, missRate int) *PhysMem {
 	m := &PhysMem{
 		clock:    clock,
 		frames:   make([]*[PageSize]byte, npages),
+		listed:   make([]uint64, (npages+63)/64),
 		missRate: missRate,
 		free:     make([]uint32, 0, npages),
+	}
+	for i := range m.frames {
+		m.frames[i] = &zeroPage
 	}
 	m.Reset()
 	return m
 }
 
 // Reset returns physical memory to its power-on state: every frame reads
-// zero and is free, the miss-model PRNG is reseeded. Dropping the pages
-// costs one pointer store per frame, whatever the machine had touched.
+// zero and is free, the miss-model PRNG is reseeded. It drops the pages of
+// the frames touched since the last Reset, so its cost follows what the
+// machine touched, plus one store per frame to refill the free list.
 func (m *PhysMem) Reset() {
-	for i := range m.frames {
-		m.frames[i] = &zeroPage
+	for _, f := range m.touched {
+		m.frames[f] = &zeroPage
+		m.listed[f/64] = 0 // every frame marked in this word is listed
 	}
+	m.touched = m.touched[:0]
 	m.gen++
-	m.free = m.free[:0]
-	for i := len(m.frames) - 1; i >= 0; i-- {
-		m.free = append(m.free, uint32(i))
+	free := m.free[:len(m.frames)]
+	for i := range free {
+		free[i] = uint32(len(free) - 1 - i)
 	}
+	m.free = free
 	m.lcg = 0x2545F491
 }
 
@@ -125,6 +138,10 @@ func (m *PhysMem) Frame(frame uint32) *[PageSize]byte {
 	if p == &zeroPage {
 		p = new([PageSize]byte)
 		m.frames[frame] = p
+		if bit := uint64(1) << (frame % 64); m.listed[frame/64]&bit == 0 {
+			m.listed[frame/64] |= bit
+			m.touched = append(m.touched, frame)
+		}
 	}
 	return p
 }

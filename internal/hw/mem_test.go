@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -129,17 +130,41 @@ func TestPhysMemPageWriteVisibleToReads(t *testing.T) {
 
 // TestPhysMemMatchesFlatModel drives the frame table and a flat byte
 // array through one seeded random sequence of every access kind plus
-// frees and resets, comparing every read, and finally checks that no path
-// ever wrote the shared zero page.
+// frees, free/re-touch churn and resets, comparing every read, and
+// finally checks that no path ever wrote the shared zero page. Each run
+// puts more free/re-touch cycles than the machine has frames between
+// some pair of resets, so Reset's list of touched frames sees frames
+// dropped and re-touched many times over; 70 frames span two words of
+// its bitset.
 func TestPhysMemMatchesFlatModel(t *testing.T) {
-	const npages = 6
+	for _, npages := range []uint32{6, 70} {
+		t.Run(fmt.Sprintf("%d-frames", npages), func(t *testing.T) {
+			walkFlatModel(t, npages)
+		})
+	}
+}
+
+func walkFlatModel(t *testing.T, npages uint32) {
 	var c Clock
-	m := NewPhysMem(&c, npages, 0)
+	m := NewPhysMem(&c, int(npages), 0)
 	flat := make([]byte, npages*PageSize)
 	r := lcgT(42)
+	// retouch frees frame f and writes one byte into it again.
+	retouch := func(f uint32) {
+		m.AllocFrameAt(f)
+		if err := m.FreeFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		clear(flat[f*PageSize : (f+1)*PageSize])
+		pa := f*PageSize + r.next()%PageSize
+		v := byte(r.next())
+		m.StoreByte(pa, v)
+		flat[pa] = v
+	}
+	cycles, maxCycles, resets := 0, 0, 0
 	for step := 0; step < 20000; step++ {
 		pa := r.next() % (npages * PageSize)
-		switch r.next() % 12 {
+		switch r.next() % 13 {
 		case 0:
 			v := r.next()
 			pa &^= 3
@@ -181,8 +206,13 @@ func TestPhysMemMatchesFlatModel(t *testing.T) {
 			clear(flat[f*PageSize : (f+1)*PageSize])
 		case 7:
 			if r.next()%50 == 0 {
-				m.Reset()
+				if len(m.touched) > int(npages) {
+					t.Fatalf("step %d: %d frames listed for Reset, more than the %d there are", step, len(m.touched), npages)
+				}
+				checkedReset(t, m)
 				clear(flat)
+				maxCycles, cycles = max(maxCycles, cycles), 0
+				resets++
 			}
 		case 8:
 			pa &^= 3
@@ -207,7 +237,21 @@ func TestPhysMemMatchesFlatModel(t *testing.T) {
 			if !bytes.Equal(dst, flat[pa:int(pa)+n]) {
 				t.Fatalf("step %d: CopyOut(%#x, %d) differs from the flat model", step, pa, n)
 			}
+		case 12:
+			// Churn: free and re-touch a frame; now and then a burst
+			// of more cycles than there are frames.
+			n := 1
+			if r.next()%40 == 0 {
+				n = int(npages) + 1 + int(r.next()%npages)
+			}
+			for ; n > 0; n-- {
+				retouch(r.next() % npages)
+				cycles++
+			}
 		}
+	}
+	if maxCycles <= int(npages) {
+		t.Fatalf("at most %d free/re-touch cycles between %d resets; the walk must exceed %d frames", maxCycles, resets, npages)
 	}
 	for f := uint32(0); f < npages; f++ {
 		dst := make([]byte, PageSize)
@@ -218,6 +262,40 @@ func TestPhysMemMatchesFlatModel(t *testing.T) {
 	}
 	if !bytes.Equal(zeroPage[:], make([]byte, PageSize)) {
 		t.Fatal("the shared zero page was written")
+	}
+}
+
+// checkedReset resets m and asserts the power-on contract: a new
+// generation, nothing resident, every frame reading zero, and the free
+// list handing out frames 0, 1, 2, ... in order. It then frees every
+// frame in reverse, which restores that same free-list order.
+func checkedReset(t *testing.T, m *PhysMem) {
+	t.Helper()
+	gen := m.Gen()
+	m.Reset()
+	if m.Gen() == gen {
+		t.Fatal("Reset did not advance the generation")
+	}
+	if got := m.Resident(); got != 0 {
+		t.Fatalf("Reset left %d frames resident", got)
+	}
+	n := uint32(m.NumPages())
+	buf := make([]byte, PageSize)
+	for f := uint32(0); f < n; f++ {
+		m.CopyOut(buf, f*PageSize)
+		if !bytes.Equal(buf, zeroPage[:]) {
+			t.Fatalf("frame %d reads nonzero after Reset", f)
+		}
+	}
+	for want := uint32(0); want < n; want++ {
+		if got, ok := m.AllocFrame(); !ok || got != want {
+			t.Fatalf("AllocFrame after Reset = %d, %v; want %d in power-on order", got, ok, want)
+		}
+	}
+	for f := n; f > 0; f-- {
+		if err := m.FreeFrame(f - 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
